@@ -1,20 +1,15 @@
-(* Evaluator for the AIM-II query language.
-
-   Queries evaluate over a catalog of stored tables by (possibly
-   nested) iteration of tuple variables, exactly following the "loop"
-   mental model the paper gives for tuple-variable bindings (Section
-   3, Example 2).  A small planner recognises indexable predicate
-   shapes on single-table queries — equality on an indexed path,
-   quantifier chains ending in an indexed equality, CONTAINS with a
-   text index, and the Fig 7b conjunctive same-subobject shape (solved
-   by hierarchical-address prefix join) — and restricts the outer loop
-   to candidate objects.  The full predicate is always re-checked. *)
+(* Evaluator for the AIM-II query language: result typing, and the
+   evaluation of expressions, predicates (quantifiers included) and
+   FROM ranges in a binding environment — the "loop" mental model the
+   paper gives for tuple-variable bindings (Section 3, Example 2).
+   SELECTs themselves, nested ones included, run on the planner's
+   executor (lib/plan), which installs itself through
+   {!install_query_executor}. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
 module Value = Nf2_model.Value
 module Rel = Nf2_algebra.Rel
-module Aops = Nf2_algebra.Ops
 module VI = Nf2_index.Value_index
 module TI = Nf2_index.Text_index
 module Tid = Nf2_storage.Tid
@@ -26,26 +21,21 @@ let eval_error fmt = Fmt.kstr (fun s -> raise (Eval_error s)) fmt
 
 (* --- tracing ----------------------------------------------------------- *)
 
-(* When a trace is active ({!run} with [?trace]), the evaluator opens a
-   span per operator: one node per query / subquery, one per FROM range
-   (scan, join, unnest), one per quantifier range, plus a subscript
-   counter.  The context is dynamically scoped through domain-local
-   storage rather than threaded through every signature.  Safety under
-   the parallel read path: a traced evaluation runs either under the
-   engine's exclusive latch (mutating statements, domain 0) or on an
-   executor worker domain that executes one statement at a time, so no
-   two evaluations share the slot; the untraced path pays only a DLS
-   read. *)
+(* When a trace is active, evaluation opens a span per quantifier
+   range plus a subscript counter, under the cursor node of the
+   executor's operator being evaluated.  The context is dynamically
+   scoped through domain-local storage rather than threaded through
+   every signature.  Safety under the parallel read path: a traced
+   evaluation runs either under the engine's exclusive latch (mutating
+   statements, domain 0) or on an executor worker domain that executes
+   one statement at a time, so no two evaluations share the slot; the
+   untraced path pays only a DLS read. *)
 
 module Tr = Nf2_obs.Trace
 
-type tracing = { tr : Tr.t; mutable cursor : Tr.node }
-
-let tracing_key : tracing option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let tracing_key : (Tr.t * Tr.node) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let get_tracing () = Domain.DLS.get tracing_key
 let set_tracing v = Domain.DLS.set tracing_key v
-
-let abbrev s = if String.length s > 48 then String.sub s 0 45 ^ "..." else s
 
 (* --- catalog interface ------------------------------------------------ *)
 
@@ -72,6 +62,16 @@ let lookup_var (env : env) v =
   List.find_opt (fun (name, _) -> String.uppercase_ascii name = String.uppercase_ascii v) env
   |> Option.map snd
 
+(* --- the query executor ------------------------------------------------- *)
+
+(* Every SELECT runs on the planner's executor (lib/plan), which
+   depends on this library; it installs itself here once, when linked,
+   so a nested SELECT met during expression evaluation reaches it. *)
+let query_executor : (catalog -> env -> query -> Rel.t) ref =
+  ref (fun _ _ _ -> eval_error "no query executor linked")
+
+let install_query_executor f = query_executor := f
+
 (* --- path resolution ----------------------------------------------------- *)
 
 (* A resolved path value: either a positioned tuple (with its schema) or
@@ -97,7 +97,7 @@ let rec walk_steps (cur : pv) (steps : path_step list) : pv =
       | P_value (Schema.Atomic _, _) -> eval_error "cannot select attribute %s of an atomic value" f
       | P_value _ -> eval_error "schema mismatch at %s" f)
   | Subscript i :: rest -> (
-      (match get_tracing () with Some ctx -> Tr.add_counter ctx.cursor "subscript.evals" 1 | None -> ());
+      (match get_tracing () with Some (_, cursor) -> Tr.add_counter cursor "subscript.evals" 1 | None -> ());
       match cur with
       | P_value (Schema.Table sub, Value.Table inner) ->
           if sub.Schema.kind <> Schema.List then eval_error "subscript on an unordered table";
@@ -348,9 +348,7 @@ let rec eval_expr (catalog : catalog) (env : env) (e : expr) : Value.v =
           match eval_expr catalog env arg with
           | Value.Table tb -> Value.Atom (eval_agg agg tb)
           | Value.Atom _ -> eval_error "aggregate applied to an atomic value"))
-  | Subquery q ->
-      let rel = eval_query catalog env q in
-      Value.Table rel.Rel.data
+  | Subquery q -> Value.Table (!query_executor catalog env q).Rel.data
 
 and eval_agg agg (tb : Value.table) : Atom.t =
   let atoms =
@@ -476,415 +474,19 @@ and quantifier_range kind (catalog : catalog) (env : env) (r : range) :
     Schema.table * Value.tuple list =
   match get_tracing () with
   | None -> range_tuples catalog env r
-  | Some ctx ->
+  | Some (tr, cursor) ->
       let src = match r.source with Table_src n -> n | Path_src p -> path_to_string p in
-      let node = Tr.child ctx.cursor (Printf.sprintf "quantifier %s %s IN %s" kind r.rvar src) in
-      Tr.timed ctx.tr node (fun () ->
+      let node = Tr.child cursor (Printf.sprintf "quantifier %s %s IN %s" kind r.rvar src) in
+      Tr.timed tr node (fun () ->
           let tbl, tuples = range_tuples catalog env r in
           Tr.add_rows node (List.length tuples);
           (tbl, tuples))
 
-(* --- the planner ----------------------------------------------------------------------- *)
-
-(* Conjuncts of a predicate. *)
-and conjuncts = function And (a, b) -> conjuncts a @ conjuncts b | p -> [ p ]
-
-(* Try to see [p] as var.attr-path = const relative to variable [v]:
-   returns (path-through-schema, atom). *)
-and eq_on_var v (p : pred) : (string list * Atom.t) option =
-  let path_of = function
-    | Path { var = Some h; steps } when String.uppercase_ascii h = String.uppercase_ascii v ->
-        let rec fields acc = function
-          | [] -> Some (List.rev acc)
-          | Field f :: rest -> fields (f :: acc) rest
-          | Subscript _ :: _ -> None
-        in
-        fields [] steps
-    | _ -> None
-  in
-  match p with
-  | Cmp (Eq, a, Const c) -> Option.map (fun sp -> (sp, c)) (path_of a)
-  | Cmp (Eq, Const c, a) -> Option.map (fun sp -> (sp, c)) (path_of a)
-  | _ -> None
-
-(* Try to see [p] as an inequality on an attribute path of [v]:
-   returns (path, lower bound option, upper bound option), inclusive
-   bounds widened by one key for the strict comparisons (the evaluator
-   re-checks, so a superset is safe). *)
-and range_on_var v (p : pred) : (string list * Atom.t option * Atom.t option) option =
-  let path_of = function
-    | Path { var = Some h; steps } when String.uppercase_ascii h = String.uppercase_ascii v ->
-        let rec fields acc = function
-          | [] -> Some (List.rev acc)
-          | Field f :: rest -> fields (f :: acc) rest
-          | Subscript _ :: _ -> None
-        in
-        fields [] steps
-    | _ -> None
-  in
-  match p with
-  | Cmp ((Lt | Le), a, Const c) -> Option.map (fun sp -> (sp, None, Some c)) (path_of a)
-  | Cmp ((Gt | Ge), a, Const c) -> Option.map (fun sp -> (sp, Some c, None)) (path_of a)
-  | Cmp ((Lt | Le), Const c, a) -> Option.map (fun sp -> (sp, Some c, None)) (path_of a)
-  | Cmp ((Gt | Ge), Const c, a) -> Option.map (fun sp -> (sp, None, Some c)) (path_of a)
-  | _ -> None
-
-(* Try to see [p] as a quantifier chain from [v] ending in an equality:
-   EXISTS y IN v.A: EXISTS z IN y.B: z.C = const  ->  ([A;B;C], const).
-   Also detects the Fig 7b same-subobject conjunction:
-   EXISTS y IN v.A: (y.P = c1 AND EXISTS z IN y.B: z.C = c2)
-   -> Conjunctive ([A;P],c1) ([A;B;C],c2). *)
-and indexable_shapes v (p : pred) : [ `Single of string list * Atom.t | `Conj of (string list * Atom.t) * (string list * Atom.t) ] list =
-  let rec chain outer_var prefix (p : pred) =
-    match eq_on_var outer_var p with
-    | Some (sp, c) -> [ `Single (prefix @ sp, c) ]
-    | None -> (
-        match p with
-        | Exists ({ rvar; source = Path_src { var = Some h; steps = [ Field a ] }; asof = None }, body)
-          when String.uppercase_ascii h = String.uppercase_ascii outer_var -> (
-            let deeper = chain rvar (prefix @ [ a ]) body in
-            if deeper <> [] then deeper
-            else
-              (* Fig 7b shape: conjunction inside the quantifier *)
-              match body with
-              | And (l, r) -> (
-                  let shapes side = chain rvar (prefix @ [ a ]) side in
-                  match shapes l, shapes r with
-                  | [ `Single s1 ], [ `Single s2 ] -> [ `Conj (s1, s2) ]
-                  | [ `Single s1 ], [] -> [ `Single s1 ]
-                  | [], [ `Single s2 ] -> [ `Single s2 ]
-                  | _ -> [])
-              | _ -> [])
-        | _ -> [])
-  in
-  match p with
-  | Exists _ -> chain v [] p
-  | Cmp _ -> chain v [] p
-  | _ -> []
-
-and contains_shape v (p : pred) : (string list * string) option =
-  match p with
-  | Contains (Path { var = Some h; steps }, pat) when String.uppercase_ascii h = String.uppercase_ascii v ->
-      let rec fields acc = function
-        | [] -> Some (List.rev acc)
-        | Field f :: rest -> fields (f :: acc) rest
-        | Subscript _ :: _ -> None
-      in
-      Option.map (fun sp -> (sp, pat)) (fields [] steps)
-  | _ -> None
-
-and find_index (st : source_table) (sp : string list) =
-  let norm p = List.map String.uppercase_ascii p in
-  List.find_opt (fun (ip, _) -> norm ip = norm sp) st.indexes |> Option.map snd
-
-and find_text_index (st : source_table) (sp : string list) =
-  let norm p = List.map String.uppercase_ascii p in
-  List.find_opt (fun (ip, _) -> norm ip = norm sp) st.text_indexes |> Option.map snd
-
-(* Candidate root TIDs for a single-range query, if any index applies.
-   Returns (roots, plan description). *)
-and plan_candidates (st : source_table) (r : range) (where : pred) : (Tid.t list * string) option =
-  let candidate_sets =
-    List.filter_map
-      (fun conj ->
-        let shapes = indexable_shapes r.rvar conj in
-        match shapes with
-        | [ `Conj ((sp1, c1), (sp2, c2)) ] -> (
-            match find_index st sp1, find_index st sp2 with
-            | Some i1, Some i2
-              when (try ignore (VI.prefix_join i1 c1 i2 c2); true with Invalid_argument _ -> false) ->
-                Some
-                  ( VI.prefix_join i1 c1 i2 c2,
-                    Printf.sprintf "prefix-join(%s=%s, %s=%s)" (String.concat "." sp1) (Atom.to_string c1)
-                      (String.concat "." sp2) (Atom.to_string c2) )
-            | Some i1, _ ->
-                Some
-                  ( VI.roots_for i1 c1,
-                    Printf.sprintf "index(%s=%s)" (String.concat "." sp1) (Atom.to_string c1) )
-            | _, Some i2 ->
-                Some
-                  ( VI.roots_for i2 c2,
-                    Printf.sprintf "index(%s=%s)" (String.concat "." sp2) (Atom.to_string c2) )
-            | None, None -> None)
-        | [ `Single (sp, c) ] -> (
-            match find_index st sp with
-            | Some idx ->
-                Some (VI.roots_for idx c, Printf.sprintf "index(%s=%s)" (String.concat "." sp) (Atom.to_string c))
-            | None -> None)
-        | _ when range_on_var r.rvar conj <> None -> (
-            match range_on_var r.rvar conj with
-            | Some (sp, lo, hi) -> (
-                match find_index st sp with
-                | Some idx when VI.strategy idx <> VI.Data_tid ->
-                    let bound = function None -> "·" | Some a -> Atom.to_string a in
-                    Some
-                      ( VI.roots_in_range idx ?lo ?hi (),
-                        Printf.sprintf "index-range(%s in [%s, %s])" (String.concat "." sp) (bound lo) (bound hi) )
-                | _ -> None)
-            | None -> None)
-        | _ -> (
-            match contains_shape r.rvar conj with
-            | Some (sp, pat) -> (
-                match find_text_index st sp with
-                | Some ti ->
-                    Some (TI.roots_matching ti pat, Printf.sprintf "text-index(%s CONTAINS '%s')" (String.concat "." sp) pat)
-                | None -> None)
-            | None -> None))
-      (conjuncts where)
-  in
-  match candidate_sets with
-  | [] -> None
-  | (first, d1) :: rest ->
-      let inter =
-        List.fold_left
-          (fun acc (s, _) -> List.filter (fun t -> List.exists (Tid.equal t) s) acc)
-          first rest
-      in
-      Some (inter, String.concat " & " (d1 :: List.map snd rest))
-
-(* --- query evaluation ----------------------------------------------------------------------- *)
-
-and eval_query ?plan (catalog : catalog) (outer_env : env) (q : query) : Rel.t =
-  match get_tracing () with
-  | None -> eval_query_body ?plan catalog outer_env q
-  | Some ctx ->
-      let parent = ctx.cursor in
-      let label =
-        if parent == Tr.root ctx.tr then "query"
-        else "subquery (" ^ abbrev (query_to_string q) ^ ")"
-      in
-      let node = Tr.child parent label in
-      ctx.cursor <- node;
-      Fun.protect
-        ~finally:(fun () -> ctx.cursor <- parent)
-        (fun () ->
-          Tr.timed ctx.tr node (fun () ->
-              let rel = eval_query_body ?plan catalog outer_env q in
-              Tr.add_rows node (Rel.cardinality rel);
-              rel))
-
-and eval_query_body ?(plan : (string -> unit) option) (catalog : catalog) (outer_env : env)
-    (q : query) : Rel.t =
-  (* typing pass: result schema *)
-  let outer_tenv = List.map (fun (v, (tbl, _)) -> (v, tbl)) outer_env in
-  let result_schema = type_query catalog outer_tenv q in
-  (* candidate restriction for the first range (single-table plans) *)
-  let note p = match plan with Some f -> f p | None -> () in
-  let first_range_tuples (r : range) : Schema.table * Value.tuple list =
-    match r.source, q.where, r.asof with
-    | Table_src name, Some w, None -> (
-        match catalog name with
-        | Some st -> (
-            match st.roots, st.fetch_root with
-            | Some _, Some fetch -> (
-                match plan_candidates st r w with
-                | Some (cands, desc) ->
-                    note (Printf.sprintf "scan %s via %s -> %d candidate object(s)" name desc (List.length cands));
-                    (st.schema.Schema.table, List.map fetch cands)
-                | None ->
-                    note (Printf.sprintf "full scan of %s" name);
-                    (st.schema.Schema.table, st.scan ()))
-            | _ ->
-                note (Printf.sprintf "full scan of %s" name);
-                (st.schema.Schema.table, st.scan ()))
-        | None -> range_tuples catalog outer_env r)
-    | _ -> range_tuples catalog outer_env r
-  in
-  (* hash-join acceleration: a non-first range over a stored table with
-     an equality conjunct  r.ATTR = <expr over earlier variables>  is
-     accessed through a hash table on ATTR instead of a full scan *)
-  let where_conjuncts = match q.where with Some w -> conjuncts w | None -> [] in
-  let rec expr_mentions v = function
-    | Path { var = Some h; _ } -> String.uppercase_ascii h = String.uppercase_ascii v
-    | Path { var = None; _ } | Const _ | Param _ -> false
-    | Neg e -> expr_mentions v e
-    | Binop (_, a, b) -> expr_mentions v a || expr_mentions v b
-    | Agg (_, Some e) -> expr_mentions v e
-    | Agg (_, None) -> false
-    | Subquery _ -> true (* conservative: do not hash-join through subqueries *)
-  in
-  let equi_for_range (r : range) =
-    List.find_map
-      (fun c ->
-        match c with
-        | Cmp (Eq, Path { var = Some v; steps = [ Field a ] }, other)
-          when String.uppercase_ascii v = String.uppercase_ascii r.rvar && not (expr_mentions r.rvar other) ->
-            Some (a, other)
-        | Cmp (Eq, other, Path { var = Some v; steps = [ Field a ] })
-          when String.uppercase_ascii v = String.uppercase_ascii r.rvar && not (expr_mentions r.rvar other) ->
-            Some (a, other)
-        | _ -> None)
-      where_conjuncts
-  in
-  (* per-range access function, built once per query evaluation *)
-  let mk_access (r : range) : env -> Schema.table * Value.tuple list =
-    match r.source, r.asof with
-    | Table_src name, None -> (
-        match catalog name, equi_for_range r with
-        | Some st, Some (attr, probe) -> (
-            match Schema.find_field st.schema.Schema.table attr with
-            | Some (ai, { Schema.attr = Schema.Atomic _; _ }) ->
-                let table = st.schema.Schema.table in
-                let hash = lazy (
-                  let h : (string, Value.tuple list) Hashtbl.t = Hashtbl.create 256 in
-                  List.iter
-                    (fun tup ->
-                      match List.nth tup ai with
-                      | Value.Atom a ->
-                          let k = Atom.to_key a in
-                          Hashtbl.replace h k (tup :: Option.value ~default:[] (Hashtbl.find_opt h k))
-                      | Value.Table _ -> ())
-                    (st.scan ());
-                  h)
-                in
-                note (Printf.sprintf "hash join %s on %s" name attr);
-                fun env ->
-                  (match
-                     (try Some (eval_expr catalog env probe) with Eval_error _ -> None)
-                   with
-                  | Some v -> (
-                      match coerce_atom v with
-                      | Some a ->
-                          (table, List.rev (Option.value ~default:[] (Hashtbl.find_opt (Lazy.force hash) (Atom.to_key a))))
-                      | None -> range_tuples catalog env r)
-                  | None ->
-                      (* probe references a later variable: full scan *)
-                      range_tuples catalog env r)
-            | _ -> fun env -> range_tuples catalog env r)
-        | _ -> fun env -> range_tuples catalog env r)
-    | _ -> fun env -> range_tuples catalog env r
-  in
-  (* operator spans: one node per range, accumulating every activation
-     (the inner side of a nested loop is activated once per outer
-     tuple).  "scan"/"join" for stored tables, "unnest" for subtable
-     sources; the access-path detail (index, hash join) stays in the
-     plan notes. *)
-  let trace_access i (r : range) access : env -> Schema.table * Value.tuple list =
-    match get_tracing () with
-    | None -> access
-    | Some ctx ->
-        let label =
-          match r.source with
-          | Path_src p -> Printf.sprintf "unnest %s IN %s" r.rvar (path_to_string p)
-          | Table_src name ->
-              if catalog name = None then Printf.sprintf "unnest %s IN %s" r.rvar name
-              else if i = 0 then Printf.sprintf "scan %s" (String.uppercase_ascii name)
-              else Printf.sprintf "join %s IN %s" r.rvar (String.uppercase_ascii name)
-        in
-        let node = Tr.child ctx.cursor label in
-        fun env ->
-          Tr.timed ctx.tr node (fun () ->
-              let tbl, tuples = access env in
-              Tr.add_rows node (List.length tuples);
-              (tbl, tuples))
-  in
-  let accesses =
-    List.mapi
-      (fun i r ->
-        trace_access i r (if i = 0 then fun _ -> first_range_tuples r else mk_access r))
-      q.from
-  in
-  (* ORDER BY keys: a bare name that is a result column sorts on the
-     emitted row; any other expression is evaluated in the emission
-     environment (so it may reference range variables). *)
-  let order_modes =
-    List.map
-      (fun (oi : order_item) ->
-        match oi.key with
-        | Path { var = Some name; steps = [] } -> (
-            match Schema.find_field result_schema name with
-            | Some (i, _) -> `Column i
-            | None -> `Env oi.key)
-        | e -> `Env e)
-      q.order_by
-  in
-  let acc = ref [] in
-  let rec loop (env : env) (ranges : (range * (env -> Schema.table * Value.tuple list)) list) =
-    match ranges with
-    | [] ->
-        let keep = match q.where with Some w -> eval_pred catalog env w | None -> true in
-        if keep then begin
-          let row =
-            match q.select with
-            | Star ->
-                List.concat_map
-                  (fun r ->
-                    match lookup_var env r.rvar with
-                    | Some (_, tup) -> tup
-                    | None -> eval_error "unbound range %s" r.rvar)
-                  q.from
-            | Items items -> List.map (fun { expr; _ } -> eval_expr catalog env expr) items
-          in
-          let okeys =
-            List.map
-              (fun mode -> match mode with `Column _ -> Value.null | `Env e -> eval_expr catalog env e)
-              order_modes
-          in
-          acc := (row, okeys) :: !acc
-        end
-    | (r, access) :: rest ->
-        let tbl, tuples = access env in
-        List.iter (fun tup -> loop ((r.rvar, (tbl, tup)) :: env) rest) tuples
-  in
-  loop outer_env (List.combine q.from accesses);
-  let keyed_rows = List.rev !acc in
-  let rows = List.map fst keyed_rows in
-  (* order / distinct / kind *)
-  let rows =
-    if q.order_by <> [] then begin
-      let key_of (row, _okeys) mode okey : Value.v =
-        match mode with
-        | `Column i -> (
-            match List.nth_opt row i with
-            | Some v -> v
-            | None -> eval_error "ORDER BY column out of range")
-        | `Env _ -> okey
-      in
-      List.stable_sort
-        (fun a b ->
-          let rec cmp modes okeys_a okeys_b obs =
-            match modes, okeys_a, okeys_b, obs with
-            | [], _, _, _ -> 0
-            | m :: ms, ka :: kas, kb :: kbs, (oi : order_item) :: ois ->
-                let c = compare_values (key_of a m ka) (key_of b m kb) in
-                let c = if oi.descending then -c else c in
-                if c <> 0 then c else cmp ms kas kbs ois
-            | _ -> 0
-          in
-          cmp order_modes (snd a) (snd b) q.order_by)
-        keyed_rows
-      |> List.map fst
-    end
-    else rows
-  in
-  let kind = result_schema.Schema.kind in
-  let rows =
-    if q.distinct || (kind = Schema.Set && q.order_by = []) then Value.dedup rows else rows
-  in
-  Rel.trusted result_schema { Value.kind; tuples = rows }
-
-(* Top-level entry: symbolic rewriting first (constant folding,
-   negation pushdown, quantifier duality), then evaluation.  With
-   [trace], every operator opens a span on it (see the tracing note at
-   the top); the context is saved and restored so traced and untraced
-   evaluations may interleave. *)
-let run ?plan ?trace ?(rewrite = true) (catalog : catalog) (q : query) : Rel.t =
-  let q = if rewrite then Rewrite.rewrite_query q else q in
-  match trace with
-  | None -> eval_query ?plan catalog [] q
-  | Some tr ->
-      let saved = get_tracing () in
-      set_tracing (Some { tr; cursor = Tr.root tr });
-      Fun.protect
-        ~finally:(fun () -> set_tracing saved)
-        (fun () -> eval_query ?plan catalog [] q)
-
-(* Planner interface (lib/plan): run [f] with the dynamically-scoped
-   trace cursor parked on [node], so predicate / expression evaluation
-   delegated back here opens its quantifier, subquery, and subscript
-   spans under the caller's operator node — identically nested to the
-   evaluator's own traced execution. *)
-let with_trace_cursor tr node f =
+(* Run [f] with the dynamically-scoped trace context set to [cursor]
+   ([None]: untraced), so predicate / expression evaluation inside [f]
+   opens its quantifier, subquery, and subscript spans under that
+   node.  The previous context is restored on exit. *)
+let with_trace_cursor cursor f =
   let saved = get_tracing () in
-  set_tracing (Some { tr; cursor = node });
+  set_tracing cursor;
   Fun.protect ~finally:(fun () -> set_tracing saved) f

@@ -1,14 +1,13 @@
 (* Cost-based access-path selection over the Section 4.2 index
    repertoire.
 
-   The planner enumerates the same sargable shapes the evaluator's
-   candidate restriction recognises (equality / inequality on an
-   indexed path, quantifier chains ending in an indexed equality,
-   CONTAINS with a text index, and the Fig 7b same-subobject
-   conjunction answered by hierarchical-address prefix join), but
-   instead of executing the probes it prices them against a sequential
-   scan using the table's row count and the index's distinct-key count
-   (see {!Cost}).  Probes are deferred behind closures, so building a
+   The planner recognises the sargable predicate shapes (equality /
+   inequality on an indexed path, quantifier chains ending in an
+   indexed equality, CONTAINS with a text index, and the Fig 7b
+   same-subobject conjunction answered by hierarchical-address prefix
+   join) and, instead of executing the probes, prices them against a
+   sequential scan using the table's row count and the index's
+   distinct-key count (see {!Cost}).  Probes are deferred behind closures, so building a
    plan — including for EXPLAIN — touches no storage.
 
    Multi-index conjunctions become an intersection of candidate sets;
@@ -30,6 +29,103 @@ open Nf2_lang.Ast
 let up = String.uppercase_ascii
 let abbrev s = if String.length s > 48 then String.sub s 0 45 ^ "..." else s
 let dotted sp = String.concat "." sp
+
+(* --- sargable shapes ------------------------------------------------ *)
+
+(* Conjuncts of a predicate. *)
+let rec conjuncts = function And (a, b) -> conjuncts a @ conjuncts b | p -> [ p ]
+
+(* Try to see [p] as var.attr-path = const relative to variable [v]:
+   returns (path-through-schema, atom). *)
+let eq_on_var v (p : pred) : (string list * Atom.t) option =
+  let path_of = function
+    | Path { var = Some h; steps } when String.uppercase_ascii h = String.uppercase_ascii v ->
+        let rec fields acc = function
+          | [] -> Some (List.rev acc)
+          | Field f :: rest -> fields (f :: acc) rest
+          | Subscript _ :: _ -> None
+        in
+        fields [] steps
+    | _ -> None
+  in
+  match p with
+  | Cmp (Eq, a, Const c) -> Option.map (fun sp -> (sp, c)) (path_of a)
+  | Cmp (Eq, Const c, a) -> Option.map (fun sp -> (sp, c)) (path_of a)
+  | _ -> None
+
+(* Try to see [p] as an inequality on an attribute path of [v]:
+   returns (path, lower bound option, upper bound option), inclusive
+   bounds widened by one key for the strict comparisons (the executor
+   re-checks, so a superset is safe). *)
+let range_on_var v (p : pred) : (string list * Atom.t option * Atom.t option) option =
+  let path_of = function
+    | Path { var = Some h; steps } when String.uppercase_ascii h = String.uppercase_ascii v ->
+        let rec fields acc = function
+          | [] -> Some (List.rev acc)
+          | Field f :: rest -> fields (f :: acc) rest
+          | Subscript _ :: _ -> None
+        in
+        fields [] steps
+    | _ -> None
+  in
+  match p with
+  | Cmp ((Lt | Le), a, Const c) -> Option.map (fun sp -> (sp, None, Some c)) (path_of a)
+  | Cmp ((Gt | Ge), a, Const c) -> Option.map (fun sp -> (sp, Some c, None)) (path_of a)
+  | Cmp ((Lt | Le), Const c, a) -> Option.map (fun sp -> (sp, Some c, None)) (path_of a)
+  | Cmp ((Gt | Ge), Const c, a) -> Option.map (fun sp -> (sp, None, Some c)) (path_of a)
+  | _ -> None
+
+(* Try to see [p] as a quantifier chain from [v] ending in an equality:
+   EXISTS y IN v.A: EXISTS z IN y.B: z.C = const  ->  ([A;B;C], const).
+   Also detects the Fig 7b same-subobject conjunction:
+   EXISTS y IN v.A: (y.P = c1 AND EXISTS z IN y.B: z.C = c2)
+   -> Conjunctive ([A;P],c1) ([A;B;C],c2). *)
+let indexable_shapes v (p : pred) : [ `Single of string list * Atom.t | `Conj of (string list * Atom.t) * (string list * Atom.t) ] list =
+  let rec chain outer_var prefix (p : pred) =
+    match eq_on_var outer_var p with
+    | Some (sp, c) -> [ `Single (prefix @ sp, c) ]
+    | None -> (
+        match p with
+        | Exists ({ rvar; source = Path_src { var = Some h; steps = [ Field a ] }; asof = None }, body)
+          when String.uppercase_ascii h = String.uppercase_ascii outer_var -> (
+            let deeper = chain rvar (prefix @ [ a ]) body in
+            if deeper <> [] then deeper
+            else
+              (* Fig 7b shape: conjunction inside the quantifier *)
+              match body with
+              | And (l, r) -> (
+                  let shapes side = chain rvar (prefix @ [ a ]) side in
+                  match shapes l, shapes r with
+                  | [ `Single s1 ], [ `Single s2 ] -> [ `Conj (s1, s2) ]
+                  | [ `Single s1 ], [] -> [ `Single s1 ]
+                  | [], [ `Single s2 ] -> [ `Single s2 ]
+                  | _ -> [])
+              | _ -> [])
+        | _ -> [])
+  in
+  match p with
+  | Exists _ -> chain v [] p
+  | Cmp _ -> chain v [] p
+  | _ -> []
+
+let contains_shape v (p : pred) : (string list * string) option =
+  match p with
+  | Contains (Path { var = Some h; steps }, pat) when String.uppercase_ascii h = String.uppercase_ascii v ->
+      let rec fields acc = function
+        | [] -> Some (List.rev acc)
+        | Field f :: rest -> fields (f :: acc) rest
+        | Subscript _ :: _ -> None
+      in
+      Option.map (fun sp -> (sp, pat)) (fields [] steps)
+  | _ -> None
+
+let find_index (st : Eval.source_table) (sp : string list) =
+  let norm p = List.map String.uppercase_ascii p in
+  List.find_opt (fun (ip, _) -> norm ip = norm sp) st.Eval.indexes |> Option.map snd
+
+let find_text_index (st : Eval.source_table) (sp : string list) =
+  let norm p = List.map String.uppercase_ascii p in
+  List.find_opt (fun (ip, _) -> norm ip = norm sp) st.Eval.text_indexes |> Option.map snd
 
 (* One sargable conjunct with a deferred probe: planning prices the
    probe without running it. *)
@@ -72,15 +168,14 @@ let eq_set sp c idx ~rows =
     cs_sel = Cost.sel_eq idx;
   }
 
-(* Candidate sets for a single-range WHERE, one per sargable conjunct —
-   the same enumeration as the evaluator's [plan_candidates], with the
-   probes deferred and each set priced. *)
+(* Candidate sets for a single-range WHERE, one per sargable conjunct,
+   with the probes deferred and each set priced. *)
 let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set list =
   List.filter_map
     (fun conj ->
-      match Eval.indexable_shapes r.rvar conj with
+      match indexable_shapes r.rvar conj with
       | [ `Conj ((sp1, c1), (sp2, c2)) ] -> (
-          match Eval.find_index st sp1, Eval.find_index st sp2 with
+          match find_index st sp1, find_index st sp2 with
           | Some i1, Some i2
             when VI.strategy i1 = VI.Hierarchical && VI.strategy i2 = VI.Hierarchical ->
               Some
@@ -96,13 +191,13 @@ let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set l
           | _, Some i2 -> Some (eq_set sp2 c2 i2 ~rows)
           | None, None -> None)
       | [ `Single (sp, c) ] -> (
-          match Eval.find_index st sp with
+          match find_index st sp with
           | Some idx -> Some (eq_set sp c idx ~rows)
           | None -> None)
       | _ -> (
-          match Eval.range_on_var r.rvar conj with
+          match range_on_var r.rvar conj with
           | Some (sp, lo, hi) -> (
-              match Eval.find_index st sp with
+              match find_index st sp with
               | Some idx when VI.strategy idx <> VI.Data_tid ->
                   let bound = function None -> "·" | Some a -> Atom.to_string a in
                   Some
@@ -116,9 +211,9 @@ let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set l
                     }
               | _ -> None)
           | None -> (
-              match Eval.contains_shape r.rvar conj with
+              match contains_shape r.rvar conj with
               | Some (sp, pat) -> (
-                  match Eval.find_text_index st sp with
+                  match find_text_index st sp with
                   | Some ti ->
                       Some
                         {
@@ -130,10 +225,10 @@ let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set l
                         }
                   | None -> None)
               | None -> None)))
-    (Eval.conjuncts w)
+    (conjuncts w)
 
-(* Equality conjunct joining range [r] to earlier variables — same
-   recogniser as the evaluator's hash-join detection. *)
+(* Equality conjunct joining range [r] to earlier (or outer)
+   variables. *)
 let rec expr_mentions v = function
   | Path { var = Some h; _ } -> up h = up v
   | Path { var = None; _ } | Const _ | Param _ -> false
@@ -161,7 +256,7 @@ let starts_with ~prefix s =
 
 let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog) (q : query) : t =
   let rows_of name = Option.map (fun (s : Stats.t) -> s.Stats.rows) (stats name) in
-  let conjs = match q.where with Some w -> Eval.conjuncts w | None -> [] in
+  let conjs = match q.where with Some w -> conjuncts w | None -> [] in
   let lookup (r : range) =
     match r.source with
     | Table_src name -> Option.map (fun st -> (name, st)) (catalog name)
@@ -267,13 +362,13 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                        dedup sort normalizes row order (no ORDER BY) *)
                     if q.order_by <> [] then None
                     else
-                      match Eval.find_index st [ attr ], st.Eval.fetch_root with
+                      match find_index st [ attr ], st.Eval.fetch_root with
                       | Some vi, Some _ when VI.strategy vi <> VI.Data_tid -> Some vi
                       | _ -> None
                   in
                   let hash_case () =
                     let distinct =
-                      match Eval.find_index st [ attr ] with
+                      match find_index st [ attr ] with
                       | Some vi -> max 1 (VI.key_count vi)
                       | None -> min rows_i 10
                     in
@@ -377,7 +472,7 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
           acc := node;
           acc_est := est)
         rest;
-      (* filter / project / sort / distinct, mirroring the evaluator's
+      (* filter / project / sort / distinct, mirroring the driver's
          emission order *)
       let n, est =
         match q.where with

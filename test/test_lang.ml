@@ -713,9 +713,11 @@ let prop_rewrite_equivalence =
       let db = db_with_kv rows in
       let sql = "SELECT t.K, t.V FROM t IN T WHERE " ^ pred in
       let q = Parser.parse_query_string sql in
-      (* evaluate WITHOUT the rewriter (eval_query directly) ... *)
-      let raw = Eval.eval_query (Db.catalog db) [] q in
-      (* ... and WITH it (Db.query goes through Eval.run) *)
+      (* evaluate WITHOUT the rewriter ... *)
+      let raw, _ =
+        Nf2_plan.Driver.run ~rewrite:false ~stats:Nf2_plan.Stats.none (Db.catalog db) q
+      in
+      (* ... and WITH it (Db.query rewrites, then runs the same executor) *)
       let cooked = Db.query db sql in
       Rel.equal raw cooked)
 

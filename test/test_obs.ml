@@ -258,6 +258,35 @@ let test_explain_analyze_stmt () =
           "pool.hits="; "pool.misses="; "wal.bytes="; "result: 2 row(s)" ]
   | _ -> Alcotest.fail "expected a message result"
 
+(* A correlated SELECT in the select list opens one "subquery" span
+   under the query, activated once per outer row, with its own scan
+   beneath it.  Labels, nesting, rows and calls are pinned; times are
+   not. *)
+let test_subquery_trace_shape () =
+  let db = Db.create () in
+  Nf2.Demo.load db;
+  let q =
+    Parser.parse_query_string
+      "SELECT x.DNO, (SELECT e.LNAME FROM e IN EMPLOYEES_1NF WHERE e.EMPNO = x.MGRNO) = MGR FROM x \
+       IN DEPARTMENTS"
+  in
+  let tr = Db.new_trace db in
+  ignore (Db.exec_stmt ~trace:tr db (Ast.Select q));
+  let b = Buffer.create 256 in
+  let rec shape depth (n : Trace.node) =
+    Buffer.add_string b
+      (Printf.sprintf "%s%s rows=%d calls=%d\n" (String.make (2 * depth) ' ') n.Trace.label
+         n.Trace.rows n.Trace.calls);
+    List.iter (shape (depth + 1)) (List.rev n.Trace.children)
+  in
+  List.iter (shape 0) (List.rev (Trace.root tr).Trace.children);
+  Alcotest.(check string) "span tree"
+    "query rows=3 calls=1\n\
+    \  scan DEPARTMENTS rows=3 calls=1\n\
+    \  subquery (SELECT e.LNAME FROM e IN EMPLOYEES_1NF WHERE ...) rows=3 calls=3\n\
+    \    scan EMPLOYEES_1NF rows=60 calls=3\n"
+    (Buffer.contents b)
+
 (* --- planner gauges in the exposition ------------------------------------- *)
 
 (* The access-path counters reach Prometheus through the storage-stat
@@ -342,6 +371,7 @@ let () =
           Alcotest.test_case "parser/printer round-trip" `Quick test_explain_analyze_roundtrip;
           Alcotest.test_case "trace matches pool stats" `Quick test_trace_matches_pool_stats;
           Alcotest.test_case "statement output" `Quick test_explain_analyze_stmt;
+          Alcotest.test_case "subquery span shape" `Quick test_subquery_trace_shape;
         ] );
       ( "slow-query log",
         [ Alcotest.test_case "one structured line" `Quick test_slow_query_log ] );
