@@ -1035,7 +1035,7 @@ let run_query ?trace ?rewrite t q =
   t.last_plan_tree <- Some tree;
   rel
 
-let exec_stmt ?trace ?rewrite t (stmt : Ast.stmt) : result =
+let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
   match stmt with
   | Ast.Select q -> Rows (run_query ?trace ?rewrite t q)
   | Ast.Begin_txn ->
@@ -1357,6 +1357,13 @@ let exec_stmt ?trace ?rewrite t (stmt : Ast.stmt) : result =
               OS.delete ti.store ti.schema root)
             targets;
           Msg (Printf.sprintf "%d row(s) deleted from %s" (List.length targets) (String.uppercase_ascii table)))
+
+(* A mutation is one statement for the SELECTs nested in its WHERE
+   clause and expressions: each is planned and typed once, without
+   statistics.  A SELECT opens its own statement in {!Driver.run}. *)
+let exec_stmt ?trace ?rewrite t (stmt : Ast.stmt) : result =
+  Driver.in_statement ~stats:Pstats.none ~force_seq:false (fun () ->
+      exec_stmt_body ?trace ?rewrite t stmt)
 
 (* Is the statement a mutation (worth journaling)? *)
 let mutates = function
