@@ -1002,7 +1002,7 @@ let bench_wal () =
        || Rel.equal (Db.query recovered "SELECT * FROM R") (Db.query oracle "SELECT * FROM R")))
 
 (* ================================================================== *)
-(* SRV: concurrent server — throughput and group commit               *)
+(* SRV: concurrent server — throughput and batched commit             *)
 (* ================================================================== *)
 
 module Server = Nf2_server.Server
@@ -1011,7 +1011,6 @@ module Proto = Nf2_server.Protocol
 
 type server_trial = {
   clients : int;
-  group : bool;
   txns : int;
   seconds : float;
   qps : float;
@@ -1023,7 +1022,7 @@ type server_trial = {
    against their own table (so predicate locks don't serialize them and
    commits can actually overlap), then we read fsyncs and batch sizes
    off the WAL stats delta. *)
-let server_trial ~clients ~per_client ~group () : server_trial =
+let server_trial ~clients ~per_client () : server_trial =
   let db = Db.create ~wal:true () in
   let config =
     {
@@ -1032,8 +1031,6 @@ let server_trial ~clients ~per_client ~group () : server_trial =
       max_sessions = clients + 2;
       lock_timeout = 30.;
       idle_timeout = 0.;
-      group_commit = group;
-      group_window = 0.001;
     }
   in
   let srv = Server.start ~db config in
@@ -1050,8 +1047,8 @@ let server_trial ~clients ~per_client ~group () : server_trial =
   done;
   SClient.close setup;
   let s0 = Wal.stats wal in
-  let flushes0 = s0.Wal.flushes and batches0 = s0.Wal.group_commit_batches in
-  let batched0 = s0.Wal.group_commit_txns in
+  let flushes0 = s0.Wal.flushes and batches0 = s0.Wal.appender_batches in
+  let batched0 = s0.Wal.appender_txns in
   let committed = Atomic.make 0 in
   let worker k () =
     let c = SClient.connect ~host:"127.0.0.1" ~port:(Server.port srv) in
@@ -1071,12 +1068,11 @@ let server_trial ~clients ~per_client ~group () : server_trial =
   let s1 = Wal.stats wal in
   let txns = Atomic.get committed in
   let fsyncs = s1.Wal.flushes - flushes0 in
-  let batches = s1.Wal.group_commit_batches - batches0 in
-  let batched = s1.Wal.group_commit_txns - batched0 in
+  let batches = s1.Wal.appender_batches - batches0 in
+  let batched = s1.Wal.appender_txns - batched0 in
   let seconds = ns /. 1e9 in
   {
     clients;
-    group;
     txns;
     seconds;
     qps = float_of_int txns /. seconds;
@@ -1127,49 +1123,35 @@ let tracing_trial ~slow_query ~queries () : float =
   float_of_int queries /. (ns /. 1e9)
 
 let bench_server () =
-  section "SRV" "concurrent server: session throughput and group commit";
+  section "SRV" "concurrent server: session throughput and batched commit";
   let per_client = 40 in
-  let trials =
-    List.concat_map
-      (fun clients ->
-        List.map (fun group -> server_trial ~clients ~per_client ~group ()) [ true; false ])
-      [ 1; 4; 16 ]
-  in
+  let trials = List.map (fun clients -> server_trial ~clients ~per_client ()) [ 1; 4; 16 ] in
   subsection
-    (Printf.sprintf "autocommit update txns over TCP (%d per client, 1ms group window)" per_client);
+    (Printf.sprintf "autocommit update txns over TCP (%d per client, async WAL appender)"
+       per_client);
   print_table
-    ~header:[ "clients"; "group commit"; "txns"; "txn/s"; "fsyncs/txn"; "avg batch" ]
+    ~header:[ "clients"; "txns"; "txn/s"; "fsyncs/txn"; "avg batch" ]
     (List.map
        (fun t ->
          [
            string_of_int t.clients;
-           (if t.group then "on" else "off");
            string_of_int t.txns;
            Printf.sprintf "%.0f" t.qps;
            Printf.sprintf "%.3f" t.fsyncs_per_txn;
            (if Float.is_nan t.avg_batch then "-" else Printf.sprintf "%.2f" t.avg_batch);
          ])
        trials);
-  let find clients group = List.find (fun t -> t.clients = clients && t.group = group) trials in
+  let find clients = List.find (fun t -> t.clients = clients) trials in
   List.iter
     (fun t ->
       check
-        (Printf.sprintf "all %d txns committed (%d clients, group %b)" (t.clients * per_client)
-           t.clients t.group)
+        (Printf.sprintf "all %d txns committed (%d clients)" (t.clients * per_client) t.clients)
         (t.txns = t.clients * per_client))
     trials;
-  check "without group commit every txn pays a full fsync"
-    ((find 16 false).fsyncs_per_txn >= 1.0);
-  check "16 concurrent clients share fsyncs under group commit: fsyncs/txn < 1"
-    ((find 16 true).fsyncs_per_txn < 1.0);
-  check "group commit batches grow with concurrency"
-    ((find 16 true).avg_batch > (find 1 true).avg_batch || (find 16 true).avg_batch > 1.5);
-  (* a lone committer must not pay a gathering pause: with the window
-     skipped (no other committer pending) and the async appender
-     fsyncing an idle queue immediately, 1-client group commit holds
-     the immediate-sync rate *)
-  check "single-client group commit within 20% of immediate sync"
-    ((find 1 true).qps >= 0.8 *. (find 1 false).qps);
+  check "16 concurrent clients share fsyncs through the appender: fsyncs/txn < 1"
+    ((find 16).fsyncs_per_txn < 1.0);
+  check "commit batches grow with concurrency"
+    ((find 16).avg_batch > (find 1).avg_batch || (find 16).avg_batch > 1.5);
   subsection "per-statement tracing overhead (1 client, read-only queries)";
   let queries = 400 in
   let qps_off = tracing_trial ~slow_query:None ~queries () in
@@ -1189,9 +1171,9 @@ let bench_server () =
     (List.map
        (fun t ->
          Printf.sprintf
-           "\"clients\": %d, \"group_commit\": %b, \"txns\": %d, \"seconds\": %.4f, \
-            \"qps\": %.1f, \"fsyncs_per_txn\": %.4f, \"avg_batch\": %s"
-           t.clients t.group t.txns t.seconds t.qps t.fsyncs_per_txn
+           "\"clients\": %d, \"txns\": %d, \"seconds\": %.4f, \"qps\": %.1f, \
+            \"fsyncs_per_txn\": %.4f, \"avg_batch\": %s"
+           t.clients t.txns t.seconds t.qps t.fsyncs_per_txn
            (if Float.is_nan t.avg_batch then "null" else Printf.sprintf "%.2f" t.avg_batch))
        trials
     @ [
@@ -1229,7 +1211,6 @@ let repl_trial ~replicas:n ~txns () : repl_trial =
       max_sessions = 8;
       lock_timeout = 30.;
       idle_timeout = 0.;
-      group_window = 0.001;
     }
   in
   let srv = Server.start ~db config in
@@ -1354,7 +1335,6 @@ let read_trial ~clients ~write_pct ~per_client () : read_trial =
       max_sessions = clients + 2;
       lock_timeout = 30.;
       idle_timeout = 0.;
-      group_window = 0.001;
     }
   in
   let srv = Server.start ~db config in
@@ -1681,7 +1661,6 @@ let shard_trial ~nshards ~clients ~per_client () : shard_trial =
       max_sessions = (clients * 2) + 4;
       lock_timeout = 30.;
       idle_timeout = 0.;
-      group_window = 0.001;
       domains = 1;
     }
   in
@@ -1810,12 +1789,9 @@ let bench_sharding () =
 (*     buffer-pool latching, data-subtuple page compression            *)
 (* ================================================================== *)
 
-type wa_mode = Wa_immediate | Wa_window | Wa_appender
+type wa_mode = Wa_immediate | Wa_appender
 
-let wa_mode_name = function
-  | Wa_immediate -> "immediate"
-  | Wa_window -> "window"
-  | Wa_appender -> "appender"
+let wa_mode_name = function Wa_immediate -> "immediate" | Wa_appender -> "appender"
 
 type wa_trial = {
   wa_mode : wa_mode;
@@ -1828,10 +1804,9 @@ type wa_trial = {
 }
 
 (* Commit throughput straight against the WAL — no TCP, no engine — so
-   the three fsync scheduling policies are compared in isolation:
-   one fsync per commit (immediate), leader/follower with a 2ms
-   gathering window (the seed's group commit), and the async batched
-   appender.  The sync hook charges every fsync a 200us device latency;
+   the two commit paths are compared in isolation: one inline fsync per
+   commit (immediate, the embedded [Db] path) and the async batched
+   appender (the server path).  The sync hook charges every fsync a 200us device latency;
    without it the simulated disk syncs for free and there is nothing
    for any batching policy to amortize. *)
 let wa_fsync_latency = 2e-4
@@ -1843,12 +1818,7 @@ let wa_commit_trial ~mode ~threads ~per_thread () : wa_trial =
        (fun pending ->
          Thread.delay wa_fsync_latency;
          pending));
-  (match mode with
-  | Wa_immediate -> ()
-  | Wa_window -> Wal.set_group_commit ~window:(fun () -> Thread.delay 0.002) w true
-  | Wa_appender ->
-      Wal.set_group_commit w true;
-      Wal.set_async_appender w true);
+  if mode = Wa_appender then Wal.set_async_appender w true;
   let committed = Atomic.make 0 in
   let worker k () =
     for n = 1 to per_thread do
@@ -1868,11 +1838,7 @@ let wa_commit_trial ~mode ~threads ~per_thread () : wa_trial =
   if mode = Wa_appender then Wal.set_async_appender w false;
   let s = Wal.stats w in
   let txns = Atomic.get committed in
-  let batches, batched =
-    match mode with
-    | Wa_appender -> (s.Wal.appender_batches, s.Wal.appender_txns)
-    | _ -> (s.Wal.group_commit_batches, s.Wal.group_commit_txns)
-  in
+  let batches = s.Wal.appender_batches and batched = s.Wal.appender_txns in
   let seconds = ns /. 1e9 in
   {
     wa_mode = mode;
@@ -1930,14 +1896,14 @@ let wa_pin_stress ~partitions ~rounds () =
 
 let bench_wa () =
   section "WA" "raw-speed storage: async WAL appender, pool partitions, compression";
-  subsection "commit fsync scheduling (WAL level, 200us device fsync, 2ms legacy window)";
+  subsection "commit fsync scheduling (WAL level, 200us device fsync)";
   let per_thread threads = if threads = 1 then 300 else 40 in
   let trials =
     List.concat_map
       (fun threads ->
         List.map
           (fun mode -> wa_commit_trial ~mode ~threads ~per_thread:(per_thread threads) ())
-          [ Wa_immediate; Wa_window; Wa_appender ])
+          [ Wa_immediate; Wa_appender ])
       [ 1; 16 ]
   in
   print_table
@@ -1964,17 +1930,12 @@ let bench_wa () =
            t.wa_threads (wa_mode_name t.wa_mode))
         (t.wa_txns = t.wa_threads * per_thread t.wa_threads))
     trials;
-  check "appender at 16 threads >= 2x the windowed group commit"
-    ((find 16 Wa_appender).wa_qps >= 2. *. (find 16 Wa_window).wa_qps);
+  check "appender at 16 threads >= 2x immediate sync at 16 threads"
+    ((find 16 Wa_appender).wa_qps >= 2. *. (find 16 Wa_immediate).wa_qps);
   check "appender at 16 threads shares fsyncs (fsyncs/txn < 1)"
     ((find 16 Wa_appender).wa_fsyncs_per_txn < 1.0);
-  check "appender at 16 threads needs no more fsyncs/txn than the windowed scheme"
-    ((find 16 Wa_appender).wa_fsyncs_per_txn
-    <= (find 16 Wa_window).wa_fsyncs_per_txn +. 0.05);
   check "appender batches commits at 16 threads (avg batch > 1.5)"
     ((find 16 Wa_appender).wa_avg_batch > 1.5);
-  check "single-thread windowed group commit within 20% of immediate sync"
-    ((find 1 Wa_window).wa_qps >= 0.8 *. (find 1 Wa_immediate).wa_qps);
   check "single-thread appender within 20% of immediate sync"
     ((find 1 Wa_appender).wa_qps >= 0.8 *. (find 1 Wa_immediate).wa_qps);
   subsection "larger-than-memory scan (32-frame pool, REPORTS-style objects)";

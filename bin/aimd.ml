@@ -2,8 +2,7 @@
 
    Usage:
      aimd [--host H] [--port P] [--max-sessions N] [--idle-timeout S]
-          [--lock-timeout S] [--no-group-commit] [--no-wal-appender]
-          [--pool-partitions N] [--compress] [--slow-query S]
+          [--lock-timeout S] [--pool-partitions N] [--compress] [--slow-query S]
           [--domains N] [--demo] [-f init.sql] [--replica-of HOST:PORT]
      aimd --coordinator --shard HOST:PORT[+RHOST:RPORT] [--shard ...]
           [--host H] [--port P] [--max-sessions N] [--idle-timeout S]
@@ -21,13 +20,23 @@
    names a shard's read replica for failover reads.
    SIGINT/SIGTERM shut down gracefully: in-flight transactions roll
    back, the WAL is checkpointed, and the metrics report is dumped to
-   stdout. *)
+   stdout.  A malformed argument is reported on stderr with exit 2. *)
 
 module Db = Nf2.Db
 module Server = Nf2_server.Server
 module Repl = Nf2_repl.Repl
 module Shard_map = Nf2_shard.Shard_map
 module Coord = Nf2_shard.Coord
+
+let bad_arg flag expected got =
+  Printf.eprintf "aimd: %s expects %s, got %s\n" flag expected got;
+  exit 2
+
+let int_arg flag s =
+  match int_of_string_opt s with Some n -> n | None -> bad_arg flag "an integer" s
+
+let float_arg flag s =
+  match float_of_string_opt s with Some x -> x | None -> bad_arg flag "a number" s
 
 let () =
   let config = ref Server.default_config in
@@ -48,56 +57,47 @@ let () =
         shards := addr :: !shards;
         parse rest
     | "--gather-deadline" :: s :: rest ->
-        ccfg := { !ccfg with Coord.gather_deadline = float_of_string s };
+        ccfg := { !ccfg with Coord.gather_deadline = float_arg "--gather-deadline" s };
         parse rest
     | "--pool" :: n :: rest ->
-        ccfg := { !ccfg with Coord.pool_cap = int_of_string n };
+        ccfg := { !ccfg with Coord.pool_cap = int_arg "--pool" n };
         parse rest
     | "--map-version" :: v :: rest ->
-        ccfg := { !ccfg with Coord.map_version = int_of_string v };
+        ccfg := { !ccfg with Coord.map_version = int_arg "--map-version" v };
         parse rest
     | "--host" :: h :: rest ->
         config := { !config with Server.host = h };
         parse rest
     | "--port" :: p :: rest ->
-        config := { !config with Server.port = int_of_string p };
+        config := { !config with Server.port = int_arg "--port" p };
         parse rest
     | "--max-sessions" :: n :: rest ->
-        config := { !config with Server.max_sessions = int_of_string n };
+        config := { !config with Server.max_sessions = int_arg "--max-sessions" n };
         parse rest
     | "--idle-timeout" :: s :: rest ->
-        config := { !config with Server.idle_timeout = float_of_string s };
+        config := { !config with Server.idle_timeout = float_arg "--idle-timeout" s };
         parse rest
     | "--lock-timeout" :: s :: rest ->
-        config := { !config with Server.lock_timeout = float_of_string s };
-        parse rest
-    | "--no-group-commit" :: rest ->
-        config := { !config with Server.group_commit = false };
-        parse rest
-    | "--no-wal-appender" :: rest ->
-        config := { !config with Server.wal_appender = false };
+        config := { !config with Server.lock_timeout = float_arg "--lock-timeout" s };
         parse rest
     | "--pool-partitions" :: n :: rest ->
-        pool_partitions := Some (int_of_string n);
+        pool_partitions := Some (int_arg "--pool-partitions" n);
         parse rest
     | "--compress" :: rest ->
         compress := true;
         parse rest
     | "--slow-query" :: s :: rest ->
-        config := { !config with Server.slow_query = Some (float_of_string s) };
+        config := { !config with Server.slow_query = Some (float_arg "--slow-query" s) };
         parse rest
     | "--domains" :: n :: rest ->
-        config := { !config with Server.domains = int_of_string n };
+        config := { !config with Server.domains = int_arg "--domains" n };
         parse rest
     | "--replica-of" :: target :: rest ->
-        let host, port =
-          match String.rindex_opt target ':' with
-          | Some i ->
-              ( String.sub target 0 i,
-                int_of_string (String.sub target (i + 1) (String.length target - i - 1)) )
-          | None -> (target, 5433)
+        let ep =
+          try Shard_map.parse_endpoint target
+          with Failure _ -> bad_arg "--replica-of" "HOST:PORT with an integer port" target
         in
-        replica_of := Some (host, port);
+        replica_of := Some (ep.Shard_map.host, ep.Shard_map.port);
         parse rest
     | "--demo" :: rest ->
         demo := true;
@@ -108,9 +108,8 @@ let () =
     | "--help" :: _ ->
         print_endline
           "usage: aimd [--host H] [--port P] [--max-sessions N] [--idle-timeout S] \
-           [--lock-timeout S] [--no-group-commit] [--no-wal-appender] [--pool-partitions N] \
-           [--compress] [--slow-query S] [--domains N] [--demo] \
-           [-f init.sql] [--replica-of HOST:PORT]\n\
+           [--lock-timeout S] [--pool-partitions N] [--compress] [--slow-query S] \
+           [--domains N] [--demo] [-f init.sql] [--replica-of HOST:PORT]\n\
            \       aimd --coordinator --shard HOST:PORT[+RHOST:RPORT] [--shard ...] [--host H] \
            [--port P] [--max-sessions N] [--idle-timeout S] [--gather-deadline S] [--pool N] \
            [--map-version V]";
@@ -132,7 +131,13 @@ let () =
     done
   in
   if !coordinator then begin
-    let members = List.mapi (fun id s -> Shard_map.parse_member ~id s) (List.rev !shards) in
+    let members =
+      List.mapi
+        (fun id s ->
+          try Shard_map.parse_member ~id s
+          with Failure _ -> bad_arg "--shard" "HOST:PORT[+RHOST:RPORT] with integer ports" s)
+        (List.rev !shards)
+    in
     if members = [] then begin
       prerr_endline "aimd: --coordinator needs at least one --shard HOST:PORT";
       exit 2
@@ -192,10 +197,8 @@ let () =
       let srv = Server.start ~db !config in
       ignore (Repl.attach srv);
       Printf.printf
-        "aimd: listening on %s:%d (max %d sessions, group commit %s, %d read domain(s), log \
-         shipping on)\n%!"
+        "aimd: listening on %s:%d (max %d sessions, %d read domain(s), log shipping on)\n%!"
         !config.Server.host (Server.port srv) !config.Server.max_sessions
-        (if !config.Server.group_commit then "on" else "off")
         (Server.effective_domains !config);
       wait_for_stop ();
       print_endline "aimd: shutting down";

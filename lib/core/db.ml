@@ -144,8 +144,6 @@ let sys_wal_provider t : Sysr.provider =
         sys_field "BYTES" Atom.Tint;
         sys_field "FSYNCS" Atom.Tint;
         sys_field "FORCED_FSYNCS" Atom.Tint;
-        sys_field "GROUP_BATCHES" Atom.Tint;
-        sys_field "GROUP_TXNS" Atom.Tint;
         sys_field "APPENDER" Atom.Tbool;
         sys_field "BATCHES" Atom.Tint;
         sys_field "BATCH_TXNS" Atom.Tint;
@@ -159,8 +157,8 @@ let sys_wal_provider t : Sysr.provider =
     | None ->
         [
           [
-            vbool false; vint 0; vint 0; vint 0; vint 0; vint 0; vint 0; vbool false; vint 0;
-            vint 0; vint 0; vint 0; vint 0;
+            vbool false; vint 0; vint 0; vint 0; vint 0; vbool false; vint 0; vint 0; vint 0;
+            vint 0; vint 0;
           ];
         ]
     | Some w ->
@@ -172,8 +170,6 @@ let sys_wal_provider t : Sysr.provider =
             vint s.Wal.bytes;
             vint s.Wal.flushes;
             vint s.Wal.forced_flushes;
-            vint s.Wal.group_commit_batches;
-            vint s.Wal.group_commit_txns;
             vbool (Wal.appender_running w);
             vint s.Wal.appender_batches;
             vint s.Wal.appender_txns;

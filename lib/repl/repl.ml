@@ -9,7 +9,7 @@
    replica's [Repl_ack { applied_lsn }] before shipping the next.  A
    batch is cut at the durable mark, so nothing unfsynced ever leaves
    the primary, and the ship loop wakes within a millisecond of each
-   group-commit fsync — one batch per fsync under load, one (empty)
+   commit batch fsync — one batch per fsync under load, one (empty)
    heartbeat per idle interval otherwise.
 
    The replica replays each batch through its own buffer pool with the

@@ -23,9 +23,6 @@ type config = {
   max_sessions : int;
   idle_timeout : float;  (** seconds; 0 disables the idle check *)
   lock_timeout : float;
-  group_commit : bool;
-  group_window : float;
-  wal_appender : bool;  (** drain commits through the async batched appender *)
   slow_query : float option;  (** seconds; statements at/over it are logged with their trace *)
   domains : int;  (** worker domains for read evaluation; 0 = derive from the host's cores *)
 }
@@ -37,9 +34,6 @@ let default_config =
     max_sessions = 32;
     idle_timeout = 300.;
     lock_timeout = 2.0;
-    group_commit = true;
-    group_window = 0.002;
-    wal_appender = true;
     slow_query = None;
     domains = 0;
   }
@@ -192,9 +186,8 @@ let start ?db:(db_opt : Db.t option) (config : config) : t =
   let metrics = Metrics.create () in
   let executor = Executor.create ~domains:(effective_domains config) in
   let mgr =
-    Session.create_manager ~lock_timeout:config.lock_timeout ~group_commit:config.group_commit
-      ~group_window:config.group_window ~wal_appender:config.wal_appender
-      ?slow_query:config.slow_query ~executor ~metrics db
+    Session.create_manager ~lock_timeout:config.lock_timeout ?slow_query:config.slow_query
+      ~executor ~metrics db
   in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;

@@ -12,12 +12,6 @@ type config = {
   max_sessions : int;
   idle_timeout : float;  (** seconds; 0 disables the idle check *)
   lock_timeout : float;
-  group_commit : bool;
-  group_window : float;  (** seconds a commit leader waits for followers *)
-  wal_appender : bool;
-      (** drain commits through the async batched WAL appender thread
-          (one fsync per batch, no pause for a lone committer) instead
-          of the leader/follower scheme; effective with [group_commit] *)
   slow_query : float option;
       (** seconds; when set, statements at/over it are logged to stderr
           with their full trace (see docs/OBSERVABILITY.md) *)
@@ -28,8 +22,7 @@ type config = {
 }
 
 (** 127.0.0.1, ephemeral port, 32 sessions, 300s idle, 2s lock
-    timeout, group commit on with a 2ms window and the async appender,
-    no slow-query log, core-derived read executor. *)
+    timeout, no slow-query log, core-derived read executor. *)
 val default_config : config
 
 (** The worker-domain count [start] will actually use for this config

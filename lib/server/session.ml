@@ -31,8 +31,9 @@
      transaction aborts that transaction (the lock table's two-phase
      release drops everything at once);
    - commits append their WAL commit record under the engine mutex but
-     fsync *outside* it via {!Nf2_storage.Wal.sync_to}, which is what
-     lets concurrent committers share one fsync (group commit). *)
+     wait for its fsync *outside* it via {!Nf2_storage.Wal.sync_to},
+     which is what lets concurrent committers share one appender batch
+     fsync. *)
 
 module Db = Nf2.Db
 module Mvcc = Nf2_temporal.Mvcc
@@ -77,7 +78,6 @@ type manager = {
   locks : PL.t;
   mutable txn_owner : int option; (* session id holding the engine txn slot *)
   lock_timeout : float; (* seconds a lock / slot wait may last *)
-  group_commit : bool;
   metrics : Metrics.t;
   mutable slow_query : float option; (* trace statements; log those slower than this *)
   slow_sink : string -> unit; (* one structured line per offending statement *)
@@ -479,8 +479,6 @@ let fold_storage_stats (mgr : manager) =
       Metrics.set m "wal_bytes" s.Wal.bytes;
       Metrics.set m "wal_flushes" s.Wal.flushes;
       Metrics.set m "wal_forced_flushes" s.Wal.forced_flushes;
-      Metrics.set m "wal_group_commit_batches" s.Wal.group_commit_batches;
-      Metrics.set m "wal_group_commit_txns" s.Wal.group_commit_txns;
       Metrics.set m "wal_batch_fsyncs" s.Wal.appender_batches;
       Metrics.set m "wal_batch_commits" s.Wal.appender_txns;
       Metrics.set m "wal_batch_max_commits" s.Wal.appender_max_batch);
@@ -578,18 +576,11 @@ let register_server_sys (mgr : manager) =
   Sysr.register reg (sys_metrics_provider mgr);
   Sysr.register reg (sys_traces_provider mgr)
 
-let create_manager ?(lock_timeout = 2.0) ?(group_commit = true) ?(group_window = 0.002)
-    ?(wal_appender = true) ?slow_query ?(slow_sink = prerr_endline) ?executor
+let create_manager ?(lock_timeout = 2.0) ?slow_query ?(slow_sink = prerr_endline) ?executor
     ~(metrics : Metrics.t) (db : Db.t) : manager =
   Db.attach_wal db;
-  (match Db.wal db with
-  | Some w ->
-      let window = if group_window > 0. then fun () -> Thread.delay group_window else fun () -> () in
-      Wal.set_group_commit ~window w group_commit;
-      (* the async appender supersedes the leader/follower scheme when
-         enabled: commits enqueue, one thread fsyncs per batch *)
-      if group_commit && wal_appender then Wal.set_async_appender w true
-  | None -> ());
+  (* commits enqueue; one appender thread fsyncs per batch *)
+  Option.iter (fun w -> Wal.set_async_appender w true) (Db.wal db);
   let mgr =
     {
       db;
@@ -599,7 +590,6 @@ let create_manager ?(lock_timeout = 2.0) ?(group_commit = true) ?(group_window =
       locks = PL.create ();
       txn_owner = None;
       lock_timeout;
-      group_commit;
       metrics;
       slow_query;
       slow_sink;
@@ -831,13 +821,10 @@ let with_engine_read (mgr : manager) f =
   Rwlock.with_read mgr.engine (fun () ->
       match mgr.executor with Some ex -> Executor.run ex f | None -> f ())
 
-(* After a commit released the engine latch, make it durable — sharing
-   the fsync with concurrent committers when group commit is on (with
-   it off, Wal.commit already flushed under the latch). *)
+(* After a commit released the engine latch, wait for the appender's
+   batch fsync that makes it durable. *)
 let sync_commit (mgr : manager) (lsn : Wal.lsn option) =
-  match (Db.wal mgr.db, lsn) with
-  | Some w, Some lsn when mgr.group_commit -> Wal.sync_to w lsn
-  | _ -> ()
+  match (Db.wal mgr.db, lsn) with Some w, Some lsn -> Wal.sync_to w lsn | _ -> ()
 
 (* --- transaction control ------------------------------------------------ *)
 
@@ -928,7 +915,7 @@ let count_stmt_metric (mgr : manager) (stmt : Ast.stmt) =
    transaction and are held until COMMIT/ROLLBACK; a failure aborts the
    transaction.  Outside one: a mutating statement becomes its own
    engine transaction (slot + X locks + exclusive latch, commit with
-   group fsync); a read takes statement-duration S locks and runs
+   batched fsync); a read takes statement-duration S locks and runs
    under the shared latch on a worker domain. *)
 let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
   let mgr = sess.mgr in
@@ -1186,8 +1173,8 @@ let render_metrics (mgr : manager) : string =
   | Some w ->
       let s = Wal.stats w in
       let avg =
-        if s.Wal.group_commit_batches = 0 then 0.
-        else Float.of_int s.Wal.group_commit_txns /. Float.of_int s.Wal.group_commit_batches
+        if s.Wal.appender_batches = 0 then 0.
+        else Float.of_int s.Wal.appender_txns /. Float.of_int s.Wal.appender_batches
       in
       base ^ Printf.sprintf "%-32s %.2f\n" "wal_avg_group_batch_size" avg
 

@@ -10,8 +10,8 @@
     reads, writer-fair), plus a single engine transaction slot, and
     deadline-bounded waits that fail with lock-timeout / deadlock
     errors instead of hanging.  Commit fsyncs run outside the engine
-    latch so concurrent committers batch into one fsync when group
-    commit is enabled.  See docs/CONCURRENCY.md. *)
+    latch so concurrent committers batch into one appender fsync.  See
+    docs/CONCURRENCY.md. *)
 
 (** A request refusal carrying a SQLSTATE-style code from {!Protocol}
     and a message; {!handle} converts it to [Protocol.Error]. *)
@@ -26,14 +26,11 @@ type session
     statements. *)
 
 (** Creates the shared state over [db], attaching a WAL if the database
-    has none and configuring group commit on it.  [lock_timeout]
-    (default 2s) bounds every lock and transaction-slot wait;
-    [group_window] (default 2ms) is how long a group-commit leader
-    lingers for followers before fsyncing; [wal_appender] (default on,
-    effective with [group_commit]) drains commits through the async
-    batched appender thread instead of the leader/follower scheme —
-    one fsync per batch, no gathering pause for a lone committer (see
-    {!Nf2_storage.Wal.set_async_appender}).  With [slow_query] set,
+    has none and starting its async batched appender: commits drain
+    with one fsync per batch and no gathering pause for a lone
+    committer (see {!Nf2_storage.Wal.set_async_appender}).
+    [lock_timeout] (default 2s) bounds every lock and transaction-slot
+    wait.  With [slow_query] set,
     every statement runs under a {!Nf2_obs.Trace} and those taking at
     least that many seconds emit one structured line to [slow_sink]
     (default stderr) — see docs/OBSERVABILITY.md for the format.
@@ -42,9 +39,6 @@ type session
     evaluate inline on the session systhread. *)
 val create_manager :
   ?lock_timeout:float ->
-  ?group_commit:bool ->
-  ?group_window:float ->
-  ?wal_appender:bool ->
   ?slow_query:float ->
   ?slow_sink:(string -> unit) ->
   ?executor:Executor.t ->
@@ -131,7 +125,7 @@ val close_session : session -> unit
 
 (** The metrics report served for [\metrics]: registry contents (with
     the storage-tier stats folded in as gauges) plus the derived WAL
-    group-commit batch-size average. *)
+    commit batch-size average. *)
 val render_metrics : manager -> string
 
 (** Prometheus text-format exposition of the same registry, storage

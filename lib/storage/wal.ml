@@ -32,16 +32,14 @@ type stats = {
   mutable bytes : int;  (* serialised log bytes appended *)
   mutable flushes : int;  (* fsyncs issued (commit, checkpoint, explicit) *)
   mutable forced_flushes : int;  (* fsyncs forced by the WAL-before-data rule *)
-  mutable group_commit_batches : int;  (* group fsyncs covering >= 1 commit *)
-  mutable group_commit_txns : int;  (* commits made durable by those fsyncs *)
-  mutable appender_batches : int;  (* batches drained by the async appender *)
-  mutable appender_txns : int;  (* commits covered by those batches *)
-  mutable appender_max_batch : int;  (* largest single appender batch *)
+  mutable appender_batches : int;  (* fsyncs covering >= 1 commit record *)
+  mutable appender_txns : int;  (* commits made durable by those fsyncs *)
+  mutable appender_max_batch : int;  (* most commits covered by one fsync *)
 }
 
 (* All mutable state is guarded by [mu]: single-session use pays one
    uncontended lock per operation, while the server's sessions append
-   concurrently and share fsyncs through [sync_to] (group commit). *)
+   concurrently and share the appender's batch fsyncs through [sync_to]. *)
 type t = {
   mu : Mutex.t;
   cond : Condition.t;  (* signalled when the durable mark advances *)
@@ -52,9 +50,6 @@ type t = {
   mutable next_tx : txid;
   mutable recs : (lsn * int * record) list;  (* (lsn, end offset, record), newest first *)
   mutable sync_hook : (int -> int) option;  (* pending bytes -> bytes persisted *)
-  mutable group_commit : bool;  (* commits defer their fsync to [sync_to] *)
-  mutable group_window : unit -> unit;  (* leader's gathering pause *)
-  mutable flushing : bool;  (* a leader is performing the group fsync *)
   mutable pending_commits : int;  (* commit records appended since the last flush *)
   mutable crashed : bool;  (* an fsync died; every waiter must observe it *)
   work : Condition.t;  (* signalled when the async appender has commits to drain *)
@@ -74,9 +69,6 @@ let create () =
     next_tx = 1;
     recs = [];
     sync_hook = None;
-    group_commit = false;
-    group_window = (fun () -> ());
-    flushing = false;
     pending_commits = 0;
     crashed = false;
     work = Condition.create ();
@@ -88,8 +80,6 @@ let create () =
         bytes = 0;
         flushes = 0;
         forced_flushes = 0;
-        group_commit_batches = 0;
-        group_commit_txns = 0;
         appender_batches = 0;
         appender_txns = 0;
         appender_max_batch = 0;
@@ -108,18 +98,11 @@ let reset_stats t =
       t.stats.bytes <- 0;
       t.stats.flushes <- 0;
       t.stats.forced_flushes <- 0;
-      t.stats.group_commit_batches <- 0;
-      t.stats.group_commit_txns <- 0;
       t.stats.appender_batches <- 0;
       t.stats.appender_txns <- 0;
       t.stats.appender_max_batch <- 0)
 
 let set_sync_hook t hook = with_mu t (fun () -> t.sync_hook <- hook)
-
-let set_group_commit ?(window = fun () -> ()) t enabled =
-  with_mu t (fun () ->
-      t.group_commit <- enabled;
-      t.group_window <- window)
 
 let durable_lsn t = t.durable_lsn
 let last_lsn t = t.next_lsn - 1
@@ -263,7 +246,10 @@ let log_alloc t ~tx ~page : lsn = append t (fun _ -> Alloc { tx; page })
    [flush] is the fsync: it asks the sync hook (default: persist
    everything) how many pending bytes reach stable storage.  A partial
    answer advances the durable mark by that much and then raises
-   {!Disk.Crash} — the fsync failed and the machine died. *)
+   {!Disk.Crash} — the fsync failed and the machine died.  A flush that
+   makes at least one commit record durable counts as one batch of
+   [pending_commits], whoever issued it: a committer, the appender, a
+   WAL-before-data eviction or a checkpoint. *)
 
 let flush_unlocked ?(forced = false) t =
   let total = Buffer.length t.buf in
@@ -271,6 +257,7 @@ let flush_unlocked ?(forced = false) t =
   if pending > 0 then begin
     t.stats.flushes <- t.stats.flushes + 1;
     if forced then t.stats.forced_flushes <- t.stats.forced_flushes + 1;
+    let covered = t.pending_commits in
     t.pending_commits <- 0;
     let persisted =
       match t.sync_hook with None -> pending | Some h -> max 0 (min pending (h pending))
@@ -295,96 +282,55 @@ let flush_unlocked ?(forced = false) t =
     if persisted < pending then begin
       t.crashed <- true;
       raise (Disk.Crash "simulated fsync failure on the log")
+    end;
+    if covered > 0 then begin
+      t.stats.appender_batches <- t.stats.appender_batches + 1;
+      t.stats.appender_txns <- t.stats.appender_txns + covered;
+      if covered > t.stats.appender_max_batch then t.stats.appender_max_batch <- covered
     end
   end
 
 let flush ?forced t = with_mu t (fun () -> flush_unlocked ?forced t)
 
-(* Group commit: a committer appends its commit record under the lock;
-   with group mode off it fsyncs immediately (the seed behaviour), with
-   group mode on the fsync is deferred to [sync_to], where concurrent
-   committers elect a leader that syncs once for everyone whose record
-   is already in the tail (the durable-prefix model makes "everyone" be
-   exactly the appended records).  The leader's [group_window] pause
-   lets followers slip their commit records in before the fsync. *)
+(* A committer appends its commit record under the lock.  With an
+   appender attached (running, or dead with the crashed machine) it
+   only enqueues and then parks in [sync_to], which reports the crash;
+   without one (an embedded [Db]) it fsyncs inline. *)
 let commit t ~tx ~payload =
   with_mu t (fun () ->
       ignore (append_unlocked t (fun _ -> Commit { tx; payload }));
-      if t.appender_run then begin
-        (* async mode: enqueue for the appender thread and return; the
-           caller parks in [sync_to] on the per-batch durable signal *)
-        t.pending_commits <- t.pending_commits + 1;
-        Condition.signal t.work
-      end
-      else if t.group_commit then t.pending_commits <- t.pending_commits + 1
-      else flush_unlocked t)
+      t.pending_commits <- t.pending_commits + 1;
+      if Option.is_some t.appender then Condition.signal t.work else flush_unlocked t)
 
-(* Block until [lsn] is durable, sharing the fsync with every other
-   committer waiting here.  @raise Disk.Crash if the covering fsync (by
-   us or by another session's leader) died. *)
+(* Block until [lsn] is durable.  With the appender running, park on the
+   per-batch durable signal; otherwise (no appender ever, or waiters left
+   parked when it was stopped) fsync inline.  @raise Disk.Crash if the
+   covering fsync died, whoever issued it. *)
 let sync_to t (lsn : lsn) =
-  Mutex.lock t.mu;
-  let rec loop () =
-    if t.crashed then begin
-      Mutex.unlock t.mu;
-      raise (Disk.Crash "simulated fsync failure on the log")
-    end
-    else if t.durable_lsn >= lsn then Mutex.unlock t.mu
-    else if t.appender_run then begin
-      (* async mode: the dedicated appender owns every fsync — park on
-         the durable-LSN signal it broadcasts per batch *)
-      Condition.signal t.work;
-      Condition.wait t.cond t.mu;
-      loop ()
-    end
-    else if t.flushing then begin
-      (* follower: a leader's fsync is in flight; wait for its verdict *)
-      Condition.wait t.cond t.mu;
-      loop ()
-    end
-    else begin
-      (* leader: pause to gather followers, then fsync the whole tail.
-         With no other committer pending the pause is skipped — a lone
-         client must not pay the gathering window for an empty batch *)
-      t.flushing <- true;
-      if t.pending_commits > 1 then begin
-        Mutex.unlock t.mu;
-        t.group_window ();
-        Mutex.lock t.mu
-      end;
-      let covered = t.pending_commits in
-      let finish () =
-        t.flushing <- false;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mu
-      in
-      (match flush_unlocked t with
-      | () ->
-          if covered > 0 then begin
-            t.stats.group_commit_batches <- t.stats.group_commit_batches + 1;
-            t.stats.group_commit_txns <- t.stats.group_commit_txns + covered
+  with_mu t (fun () ->
+      let rec loop () =
+        if t.crashed then raise (Disk.Crash "simulated fsync failure on the log")
+        else if t.durable_lsn < lsn then
+          if t.appender_run then begin
+            Condition.signal t.work;
+            Condition.wait t.cond t.mu;
+            loop ()
           end
-      | exception e ->
-          finish ();
-          raise e);
-      finish ()
-    end
-  in
-  loop ()
+          else flush_unlocked t
+      in
+      loop ())
 
 (* --- async batched appender ---------------------------------------------
 
    A dedicated thread drains the submission queue (the volatile tail)
    with one write+fsync per batch.  The window is adaptive: woken from
    an idle wait it fsyncs immediately — a lone committer pays no
-   gathering pause, which is what kills the 1-client group-commit
-   cliff — but when the queue refills while a flush is in flight it
+   gathering pause — but when the queue refills while a flush is in flight it
    yields once so concurrent committers can slip their records into the
    next batch.  Commit waiters park in [sync_to] on [cond], which
    [flush_unlocked] broadcasts every time the durable mark advances; a
    failed fsync sets [crashed], broadcasts, and the waiters raise
-   [Disk.Crash] exactly as in the leader/follower scheme, so the
-   durable-prefix crash model is unchanged. *)
+   [Disk.Crash], so the durable-prefix crash model holds here too. *)
 
 let appender_loop t =
   Mutex.lock t.mu;
@@ -403,17 +349,8 @@ let appender_loop t =
         Thread.yield ();
         Mutex.lock t.mu
       end;
-      let covered = t.pending_commits in
       match flush_unlocked t with
       | () ->
-          if covered > 0 then begin
-            t.stats.group_commit_batches <- t.stats.group_commit_batches + 1;
-            t.stats.group_commit_txns <- t.stats.group_commit_txns + covered;
-            t.stats.appender_batches <- t.stats.appender_batches + 1;
-            t.stats.appender_txns <- t.stats.appender_txns + covered;
-            if covered > t.stats.appender_max_batch then
-              t.stats.appender_max_batch <- covered
-          end;
           was_busy := true;
           run ()
       | exception Disk.Crash _ ->
@@ -439,8 +376,8 @@ let set_async_appender t enabled =
           t.appender_run <- false;
           t.appender <- None;
           Condition.signal t.work;
-          (* waiters parked on [cond] must re-check and fall back to
-             the leader/follower path now that no appender will flush *)
+          (* waiters parked on [cond] must re-check and fsync inline
+             now that no appender will flush *)
           Condition.broadcast t.cond;
           th)
     in

@@ -38,11 +38,10 @@ type stats = {
   mutable bytes : int;  (** serialised log bytes *)
   mutable flushes : int;  (** fsyncs issued *)
   mutable forced_flushes : int;  (** fsyncs forced by WAL-before-data *)
-  mutable group_commit_batches : int;  (** group fsyncs covering >= 1 commit *)
-  mutable group_commit_txns : int;  (** commits made durable by those fsyncs *)
-  mutable appender_batches : int;  (** batches drained by the async appender *)
-  mutable appender_txns : int;  (** commits covered by those batches *)
-  mutable appender_max_batch : int;  (** largest single appender batch *)
+  mutable appender_batches : int;
+      (** fsyncs covering >= 1 commit record, whoever issued them *)
+  mutable appender_txns : int;  (** commits made durable by those fsyncs *)
+  mutable appender_max_batch : int;  (** most commits covered by one fsync *)
 }
 
 type t
@@ -51,39 +50,32 @@ val create : unit -> t
 val stats : t -> stats
 val reset_stats : t -> unit
 
-(** {1 Thread safety and group commit}
+(** {1 Thread safety and the commit path}
 
     Every operation is internally mutex-guarded, so concurrent sessions
-    (the server tier) may append and flush against one log.  With group
-    commit enabled, {!commit} appends the commit record but defers its
-    fsync: the caller then blocks in {!sync_to}, where concurrent
-    committers elect a leader whose single fsync covers every commit
-    record already appended — fsyncs per transaction drop below 1 under
-    concurrency.  [window] is the leader's gathering pause (e.g.
-    [fun () -> Thread.delay 2e-3]); the default is no pause. *)
-
-val set_group_commit : ?window:(unit -> unit) -> t -> bool -> unit
-
-(** {1 Async batched appender}
+    (the server tier) may append and flush against one log.  There are
+    two commit paths, picked by whether an appender is attached: without
+    one (an embedded database) {!commit} fsyncs inline; with one (the
+    server) {!commit} only enqueues and the caller parks in {!sync_to}.
 
     [set_async_appender t true] starts a dedicated thread that drains
-    the submission queue with one fsync per batch; {!commit} then only
-    enqueues, and {!sync_to} parks the caller on the per-batch
-    durable-LSN signal.  The batch window is adaptive: an idle queue is
-    fsynced the moment a commit arrives (a lone client pays no
-    gathering pause), a busy one is coalesced.  Crash semantics are the
-    durable-prefix model unchanged — a failed batch fsync marks the log
-    crashed and every parked committer raises {!Disk.Crash}.
+    the submission queue with one fsync per batch.  The batch window is
+    adaptive: an idle queue is fsynced the moment a commit arrives (a
+    lone client pays no gathering pause), a busy one is coalesced.
+    Crash semantics are the durable-prefix model unchanged — a failed
+    batch fsync marks the log crashed and every parked committer raises
+    {!Disk.Crash}.
 
-    [set_async_appender t false] stops and joins the thread; pending
-    commits fall back to the leader/follower scheme. *)
+    [set_async_appender t false] stops and joins the thread; commits
+    still pending are fsynced inline by their {!sync_to}. *)
 
 val set_async_appender : t -> bool -> unit
 val appender_running : t -> bool
 
-(** Block until [lsn] is durable, sharing the fsync leader/follower
-    style.  @raise Disk.Crash when the covering fsync died (whoever
-    performed it). *)
+(** Block until [lsn] is durable: park on the appender's per-batch
+    signal, or fsync inline when no appender runs.
+    @raise Disk.Crash when the covering fsync died (whoever performed
+    it). *)
 val sync_to : t -> lsn -> unit
 
 (** Fault injection (see {!Faulty_disk}): called at each fsync with the
@@ -104,7 +96,8 @@ val begin_tx : t -> txid
 val log_update : t -> tx:txid -> page:int -> off:int -> before:string -> after:string -> lsn
 val log_alloc : t -> tx:txid -> page:int -> lsn
 
-(** Append a commit record and {!flush}. *)
+(** Append a commit record; {!flush} inline unless an appender is
+    attached, in which case the caller waits with {!sync_to}. *)
 val commit : t -> tx:txid -> payload:string option -> unit
 
 val log_abort : t -> txid -> unit

@@ -33,7 +33,6 @@ let config =
     Server.default_config with
     Server.port = 0;
     lock_timeout = 5.0;
-    group_window = 0.001;
     idle_timeout = 0.;
   }
 
@@ -379,7 +378,7 @@ let test_promote () =
   nested_fixture c;
   (* an unresolved transaction on the primary: its update records become
      durable (a forced log flush stands in for a concurrent session's
-     group-commit fsync), but its COMMIT never happens *)
+     batch fsync), but its COMMIT never happens *)
   ignore (Client.request c P.Begin);
   ignore (expect_ok c "UPDATE DEPT SET BUDGET = 999999 WHERE DNO = 1");
   ignore (expect_ok c "INSERT INTO DEPT VALUES (8, 'Doomed', 8, {})");

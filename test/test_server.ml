@@ -1,7 +1,7 @@
 (* Server tier tests: wire-protocol round trips (property-tested),
    concurrent sessions over real sockets (isolation, no lost updates,
    admission control), and a kill-the-server-mid-commit run that
-   recovers through the WAL with group commit enabled. *)
+   recovers through the WAL with the batched appender running. *)
 
 module P = Nf2_server.Protocol
 module Client = Nf2_server.Client
@@ -202,16 +202,14 @@ let test_decode_fuzz () =
 
 (* --- helpers for socket tests ------------------------------------------- *)
 
-let with_server ?(max_sessions = 16) ?(lock_timeout = 5.0) ?(group_commit = true)
-    ?(group_window = 0.001) ?(domains = 0) ?db (f : Server.t -> 'a) : 'a =
+let with_server ?(max_sessions = 16) ?(lock_timeout = 5.0) ?(domains = 0) ?db
+    (f : Server.t -> 'a) : 'a =
   let config =
     {
       Server.default_config with
       Server.port = 0;
       max_sessions;
       lock_timeout;
-      group_commit;
-      group_window;
       idle_timeout = 0.;
       domains;
     }
@@ -235,6 +233,15 @@ let rows c sql =
   match expect_ok c sql with
   | P.Result_table { rows; _ } -> rows
   | _ -> Alcotest.fail ("expected rows from: " ^ sql)
+
+(* BATCH_TXNS of SYS_WAL over the wire, after checking the server
+   commits through the appender. *)
+let wal_batch_txns c =
+  match rows c "SELECT w.APPENDER, w.BATCHES, w.BATCH_TXNS FROM w IN SYS_WAL" with
+  | [ [ appender; _; txns ] ] ->
+      Alcotest.(check string) "appender running" "TRUE" appender;
+      int_of_string txns
+  | _ -> Alcotest.fail "expected one SYS_WAL row"
 
 (* --- basic request/response over a socket ------------------------------- *)
 
@@ -330,6 +337,7 @@ let test_no_lost_updates () =
       let c0 = conn srv in
       ignore (expect_ok c0 "CREATE TABLE C (K INT, N INT)");
       ignore (expect_ok c0 "INSERT INTO C VALUES (1, 0)");
+      let batch_txns0 = wal_batch_txns c0 in
       Client.close c0;
       let nthreads = 4 and per_thread = 8 in
       let failures = Atomic.make 0 in
@@ -349,15 +357,17 @@ let test_no_lost_updates () =
       (match rows c "SELECT x.N FROM x IN C" with
       | [ [ n ] ] -> Alcotest.(check string) "all increments applied" (string_of_int (nthreads * per_thread)) n
       | _ -> Alcotest.fail "expected one row");
+      (* the server commits through the appender, and its batches
+         count every autocommitted UPDATE exactly once *)
+      checki "every autocommit counted in one batch" (nthreads * per_thread)
+        (wal_batch_txns c - batch_txns0);
       Client.close c;
-      (* concurrent autocommit writers should have shared at least one
-         group-commit fsync *)
       match Db.wal (Server.db srv) with
       | Some w ->
           let s = Wal.stats w in
-          checkb "group commit engaged" true (s.Wal.group_commit_batches > 0);
+          checkb "appender batches engaged" true (s.Wal.appender_batches > 0);
           checkb "batches cover all commits" true
-            (s.Wal.group_commit_txns >= s.Wal.group_commit_batches)
+            (s.Wal.appender_txns >= s.Wal.appender_batches)
       | None -> Alcotest.fail "server db should have a WAL")
 
 let test_admission_control () =
@@ -569,7 +579,7 @@ let test_snapshot_too_old_over_wire () =
 (* --- crash during concurrent commits ------------------------------------ *)
 
 (* Kill the "machine" at the k-th WAL fsync while several sessions
-   insert concurrently under group commit, then recover from the
+   insert concurrently through the batched appender, then recover from the
    surviving image.  Per session, the recovered rows must be a prefix
    of that session's insert order: commits are appended in order, so
    durability may cut a suffix but never punch a hole. *)

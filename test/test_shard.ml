@@ -115,7 +115,6 @@ let server_config =
     Server.default_config with
     Server.port = 0;
     lock_timeout = 5.0;
-    group_window = 0.001;
     idle_timeout = 0.;
   }
 

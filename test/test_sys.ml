@@ -94,8 +94,6 @@ let with_server ?(domains = 0) (f : Server.t -> 'a) : 'a =
       Server.port = 0;
       max_sessions = 16;
       lock_timeout = 5.0;
-      group_commit = true;
-      group_window = 0.001;
       idle_timeout = 0.;
       domains;
     }
@@ -164,8 +162,8 @@ let test_sessions_locks_join () =
 (* --- wire: SYS_POOL x SYS_WAL — storage telemetry join ------------------- *)
 
 (* One row per buffer-pool partition joined against the WAL appender
-   state, over the wire: the server runs group commit through the
-   async appender, so the commits above must show up as batches. *)
+   state, over the wire: the server commits through the async
+   appender, so the commits above must show up as batches. *)
 let test_pool_wal_join () =
   with_server (fun srv ->
       let c = conn srv in

@@ -290,14 +290,13 @@ let test_recovery_deterministic () =
   let b = Db.recover_from_image img in
   same_state "replay twice" a b
 
-(* --- group-commit edges --------------------------------------------------- *)
+(* --- commit-path edges ---------------------------------------------------- *)
 
 (* sync_to with nothing to do: an empty log or an already-durable LSN
    must not fsync at all, and a flush that covers no commit record must
-   not count as a group-commit batch. *)
+   not count as a commit batch. *)
 let test_sync_to_empty () =
   let w = Wal.create () in
-  Wal.set_group_commit w true;
   Wal.sync_to w 0;
   checki "empty log: no fsync" 0 (Wal.stats w).Wal.flushes;
   let tx = Wal.begin_tx w in
@@ -307,103 +306,19 @@ let test_sync_to_empty () =
   Wal.sync_to w (Wal.last_lsn w);
   checki "already durable: no extra fsync" 1 (Wal.stats w).Wal.flushes;
   checkb "durable" true (Wal.durable_lsn w = Wal.last_lsn w);
-  (* a flush with no commit record in it is not a group-commit batch *)
+  (* a flush with no commit record in it is not a commit batch *)
   let lsn = Wal.log_update w ~tx:Wal.system_tx ~page:0 ~off:0 ~before:"" ~after:"x" in
   Wal.sync_to w lsn;
   checkb "update durable" true (Wal.durable_lsn w >= lsn);
-  checki "no commit covered, no batch counted" 1 (Wal.stats w).Wal.group_commit_batches
-
-(* The leader's gathering window must cover followers that commit while
-   it is open: one fsync makes every one of them durable.  A lone
-   pending commit skips the window (see the dedicated test below), so
-   two commits are parked up front to guarantee whoever flushes first
-   sees company and holds the window open. *)
-let test_group_commit_followers () =
-  let w = Wal.create () in
-  let nfollowers = 3 in
-  let arrived = Atomic.make 0 in
-  let window () =
-    (* leader: hold the window open until every follower's commit
-       record is in the tail (bounded, in case of a test bug) *)
-    let deadline = Unix.gettimeofday () +. 5. in
-    while Atomic.get arrived < nfollowers && Unix.gettimeofday () < deadline do
-      Thread.delay 0.001
-    done
-  in
-  Wal.set_group_commit ~window w true;
-  let tx0 = Wal.begin_tx w in
-  Wal.commit w ~tx:tx0 ~payload:None;
-  let tx1 = Wal.begin_tx w in
-  Wal.commit w ~tx:tx1 ~payload:None;
-  let first_lsn = Wal.last_lsn w in
-  let leader = Thread.create (fun () -> Wal.sync_to w first_lsn) () in
-  let follower _ =
-    Thread.create
-      (fun () ->
-        let tx = Wal.begin_tx w in
-        Wal.commit w ~tx ~payload:None;
-        let lsn = Wal.last_lsn w in
-        Atomic.incr arrived;
-        Wal.sync_to w lsn)
-      ()
-  in
-  let followers = List.init nfollowers follower in
-  Thread.join leader;
-  List.iter Thread.join followers;
-  checkb "everything durable" true (Wal.durable_lsn w = Wal.last_lsn w);
-  let s = Wal.stats w in
-  checki "one shared fsync" 1 s.Wal.flushes;
-  checki "the batch covered every commit" (nfollowers + 2) s.Wal.group_commit_txns
-
-(* Leader crash between append and fsync: the group fsync dies
-   persisting nothing, and every committer in the group — the leader
-   and the followers parked in the wait — must observe Disk.Crash
-   rather than hang or report durability. *)
-let test_group_commit_leader_crash () =
-  let w = Wal.create () in
-  let nthreads = 4 in
-  let arrived = Atomic.make 0 in
-  let window () =
-    let deadline = Unix.gettimeofday () +. 5. in
-    while Atomic.get arrived < nthreads && Unix.gettimeofday () < deadline do
-      Thread.delay 0.001
-    done
-  in
-  Wal.set_group_commit ~window w true;
-  Wal.set_sync_hook w (Some (fun _ -> 0));
-  let crashes = Atomic.make 0 in
-  let worker _ =
-    Thread.create
-      (fun () ->
-        let tx = Wal.begin_tx w in
-        Wal.commit w ~tx ~payload:None;
-        let lsn = Wal.last_lsn w in
-        Atomic.incr arrived;
-        try Wal.sync_to w lsn with D.Crash _ -> Atomic.incr crashes)
-      ()
-  in
-  let threads = List.init nthreads worker in
-  List.iter Thread.join threads;
-  checki "every committer observed the crash" nthreads (Atomic.get crashes);
-  checki "nothing became durable" 0 (Wal.durable_lsn w);
-  (* the machine is dead: later durability waits must refuse too *)
-  checkb "post-crash sync_to raises" true
-    (try
-       Wal.sync_to w (Wal.last_lsn w);
-       false
-     with D.Crash _ -> true);
-  checki "the durable prefix reads back empty" 0
-    (List.length (Wal.records_of_string (Wal.durable_contents w)))
+  checki "no commit covered, no batch counted" 1 (Wal.stats w).Wal.appender_batches
 
 (* --- async batched appender ----------------------------------------------- *)
 
 (* Concurrent committers drain through the dedicated appender thread:
-   every commit is covered by some batch, the appender counters
-   populate (mirrored into the group-commit totals the bench derives
-   averages from), and everything is durable once the waiters return. *)
+   every commit is covered by some batch, the batch counters populate,
+   and everything is durable once the waiters return. *)
 let test_appender_batches () =
   let w = Wal.create () in
-  Wal.set_group_commit w true;
   Wal.set_async_appender w true;
   checkb "appender reported running" true (Wal.appender_running w);
   let nthreads = 4 and per_thread = 25 in
@@ -429,8 +344,6 @@ let test_appender_batches () =
   checkb "no more batches than commits" true (s.Wal.appender_batches <= nthreads * per_thread);
   checkb "max batch sane" true
     (s.Wal.appender_max_batch >= 1 && s.Wal.appender_max_batch <= nthreads * per_thread);
-  checki "appender totals mirror the group-commit totals" s.Wal.appender_txns
-    s.Wal.group_commit_txns;
   checkb "one fsync per batch" true (s.Wal.flushes <= s.Wal.appender_batches + 1)
 
 (* Appender crash semantics are the durable-prefix model, unchanged: a
@@ -439,7 +352,6 @@ let test_appender_batches () =
    before the failure — still parses. *)
 let test_appender_crash () =
   let w = Wal.create () in
-  Wal.set_group_commit w true;
   Wal.set_async_appender w true;
   (* one commit becomes durable before the device dies *)
   let tx0 = Wal.begin_tx w in
@@ -473,24 +385,31 @@ let test_appender_crash () =
     (List.length (Wal.records_of_string (Wal.durable_contents w)));
   Wal.set_async_appender w false
 
-(* A lone committer must not pay the gathering pause: with no other
-   commit pending, the sync_to leader fsyncs immediately and never
-   opens the window — the fix for the 1-client group-commit cliff. *)
-let test_group_window_skipped_when_alone () =
-  let w = Wal.create () in
-  let opened = ref 0 in
-  Wal.set_group_commit ~window:(fun () -> incr opened) w true;
-  for _ = 1 to 5 do
-    let tx = Wal.begin_tx w in
-    Wal.commit w ~tx ~payload:None;
+(* Every commit is counted once, by the flush that makes it durable,
+   whoever issues that flush.  Autocommits run the server's way (commit,
+   then wait in sync_to) on a small pool, so WAL-before-data evictions
+   and the appender race to flush each commit record. *)
+let test_appender_counts_every_commit () =
+  let db = Db.create ~frames:16 ~wal:true () in
+  let w = Option.get (Db.wal db) in
+  Wal.set_async_appender w true;
+  let autocommit sql =
+    ignore (Db.exec db sql);
     Wal.sync_to w (Wal.last_lsn w)
+  in
+  autocommit "CREATE TABLE T (K INT, PAD TEXT, SUB TABLE (A INT, B TEXT))";
+  let s0 = Wal.stats w in
+  let txns0 = s0.Wal.appender_txns and forced0 = s0.Wal.forced_flushes in
+  let n = 300 in
+  for i = 1 to n do
+    autocommit
+      (Printf.sprintf "INSERT INTO T VALUES (%d, '%s', {(%d, 'x'), (%d, 'y')})" i
+         (String.make 60 'p') i (i + 1))
   done;
-  checki "window never opened for a lone committer" 0 !opened;
-  checkb "all commits durable" true (Wal.durable_lsn w = Wal.last_lsn w);
+  Wal.set_async_appender w false;
   let s = Wal.stats w in
-  checki "one fsync per lone commit" 5 s.Wal.flushes;
-  checki "five singleton batches" 5 s.Wal.group_commit_batches;
-  checki "covering five txns" 5 s.Wal.group_commit_txns
+  checkb "evictions forced log flushes" true (s.Wal.forced_flushes > forced0);
+  checki "every autocommit counted once" n (s.Wal.appender_txns - txns0)
 
 (* WAL stats surface the logging work for the bench harness. *)
 let test_wal_stats () =
@@ -517,20 +436,13 @@ let () =
         [ Alcotest.test_case "differential oracle" `Quick test_randomized_crashes ] );
       ( "ordering",
         [ Alcotest.test_case "WAL before data" `Quick test_wal_before_data ] );
-      ( "group commit",
-        [
-          Alcotest.test_case "empty batch" `Quick test_sync_to_empty;
-          Alcotest.test_case "followers share the leader's fsync" `Quick
-            test_group_commit_followers;
-          Alcotest.test_case "leader crash releases the group" `Quick
-            test_group_commit_leader_crash;
-          Alcotest.test_case "lone committer skips the window" `Quick
-            test_group_window_skipped_when_alone;
-        ] );
+      ( "group commit", [ Alcotest.test_case "empty batch" `Quick test_sync_to_empty ] );
       ( "async appender",
         [
           Alcotest.test_case "batch counters" `Quick test_appender_batches;
           Alcotest.test_case "crash releases the waiters" `Quick test_appender_crash;
+          Alcotest.test_case "every commit counted once" `Quick
+            test_appender_counts_every_commit;
         ] );
       ( "transactions",
         [
